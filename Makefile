@@ -66,12 +66,13 @@ bench-smoke:
 
 # Hot-path guard: allocation-regression tests (pooled runtime cycle,
 # append-path codecs, MTP stream paths — including the FrameSource send
-# path and the zero-copy batched send path with its syscall-count bound —
-# and the disk store's cached read path) + append-vs-schema byte-identity
+# path, the zero-copy batched send path with its syscall-count bound, and
+# the real loopback-UDP send/receive/feedback-poll calls — and the disk
+# store's cached read path) + append-vs-schema byte-identity
 # proofs and the cold/cached disk-read benchmark, then the mcambench
 # -json smoke emitting BENCH_*.json into bench-out/.
 bench-guard:
-	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder' \
+	$(GO) test -run='TestSendSelectFireAllocs|TestPDUEncodeAllocs|TestPPDUEncodeAllocs|TestStreamPathAllocs|TestFrameSourceSendAllocs|TestLiveTailSendAllocs|TestBatchedSendAllocs|TestBatchedSendSyscalls|TestRealUDPAllocs|TestDiskCachedReadAllocs|TestAppendMatchesSchemaEncoder' \
 		./internal/estelle ./internal/mcam ./internal/presentation ./internal/mtp ./internal/moviedb
 	$(GO) test -run='^$$' -bench='BenchmarkDiskStream' -benchtime=10x -benchmem ./internal/moviedb
 	mkdir -p bench-out

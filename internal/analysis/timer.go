@@ -2,7 +2,7 @@ package analysis
 
 import (
 	"go/ast"
-	"go/types"
+	"strings"
 )
 
 // TimerDiscipline enforces the shared-timer-wheel contract of the pacing
@@ -19,6 +19,12 @@ import (
 // function variable smuggles the timer just as well) of the banned
 // time-package functions is an error unless the line carries
 // //xmovie:allow-timer with a reason.
+//
+// Raw kernel sleeps and timers are flagged the same way: a pacing package
+// that reaches for syscall.Nanosleep, SYS_NANOSLEEP, SYS_CLOCK_NANOSLEEP
+// or a SYS_TIMERFD_* call has built a second, private timer beside the
+// wheel. The wheel's own precise tick driver carries //xmovie:allow-timer,
+// so it stays the one sanctioned kernel timer.
 var TimerDiscipline = &Analyzer{
 	Name: "timerdiscipline",
 	Doc:  "pacing packages must pace on internal/timewheel, not runtime timers",
@@ -45,6 +51,16 @@ var bannedTimeFuncs = map[string]bool{
 	"NewTicker": true,
 }
 
+// bannedSyscall reports whether name, declared in the syscall package, is
+// a raw sleep or timer entry point.
+func bannedSyscall(name string) bool {
+	switch name {
+	case "Nanosleep", "SYS_NANOSLEEP", "SYS_CLOCK_NANOSLEEP":
+		return true
+	}
+	return strings.HasPrefix(name, "SYS_TIMERFD_")
+}
+
 func runTimerDiscipline(pass *Pass) error {
 	declared := PackageHas(pass.Files, "pacing-package")
 	if requiredPacingPackages[pass.Pkg.Path()] && !declared {
@@ -62,16 +78,22 @@ func runTimerDiscipline(pass *Pass) error {
 				return true
 			}
 			obj := pass.Info.Uses[sel.Sel]
-			fn, ok := obj.(*types.Func)
-			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "time" || !bannedTimeFuncs[fn.Name()] {
+			if obj == nil || obj.Pkg() == nil {
+				return true
+			}
+			var msg string
+			switch path := obj.Pkg().Path(); {
+			case path == "time" && bannedTimeFuncs[obj.Name()]:
+				msg = "time.%s in a pacing package: pace on internal/timewheel (or an injected sleeper), or annotate //xmovie:allow-timer <reason>"
+			case path == "syscall" && bannedSyscall(obj.Name()):
+				msg = "syscall.%s in a pacing package: a raw kernel sleep or timer beside the wheel; pace on internal/timewheel, or annotate //xmovie:allow-timer <reason>"
+			default:
 				return true
 			}
 			if _, allowed := pass.Dirs.At(sel.Pos(), "allow-timer"); allowed {
 				return true
 			}
-			pass.Report(sel.Pos(),
-				"time.%s in a pacing package: pace on internal/timewheel (or an injected sleeper), or annotate //xmovie:allow-timer <reason>",
-				fn.Name())
+			pass.Report(sel.Pos(), msg, obj.Name())
 			return true
 		})
 	}

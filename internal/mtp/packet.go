@@ -177,6 +177,11 @@ type TryRecver interface {
 // write into either slice, and must not retain a reference afterwards. The
 // caller may reuse hdr and the storage layer may recycle the payload's
 // chunk the moment SendVec returns.
+//
+// A VecConn may keep per-connection send scratch (the UDP conn keeps its
+// iovec arrays there), so callers send from one goroutine at a time; the
+// stream sender does, sending frames, EOS markers and fallback packets
+// from the goroutine running StreamSender.Run.
 type VecConn interface {
 	SendVec(hdr, payload []byte) error
 }
@@ -194,7 +199,8 @@ type PacketVec struct {
 // elsewhere — so steady-state fan-out costs ~1 syscall per coalesced batch
 // instead of one per frame. Packets are delivered in order; every slice
 // obeys the VecConn aliasing contract (consumed before SendBatch returns,
-// never written, never retained).
+// never written, never retained), and like SendVec it is called from one
+// goroutine at a time.
 type BatchConn interface {
 	SendBatch(pkts []PacketVec) error
 }

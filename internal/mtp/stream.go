@@ -162,7 +162,9 @@ type StreamConfig struct {
 	// Window > 0 assumes the receiver emits feedback
 	// (ReceiverConfig.FeedbackEvery); lost or absent feedback shrinks the
 	// sender's view of its credit, which is exactly the congestion signal
-	// that triggers dropping.
+	// that triggers dropping. Only then does the sender poll the conn for
+	// feedback: with Window == 0 nothing reads it, so the per-frame poll
+	// (a receive syscall that almost always finds nothing) is skipped.
 	Window int
 	// Throttle, when non-nil, caps outbound bandwidth: each transmitted
 	// frame reserves its bytes before the send, and the imposed wait shifts
@@ -187,7 +189,8 @@ type StreamStats struct {
 	// their deadline.
 	Late  int
 	Bytes int64
-	// Feedback counts receiver reports processed.
+	// Feedback counts receiver reports processed (always 0 without a
+	// Window: feedback is only read when it drives adaptation).
 	Feedback int
 	// Pos is the source position reached (next frame index).
 	Pos int64
@@ -289,11 +292,12 @@ func (s *StreamSender) Stats() StreamStats {
 
 // wait sleeps for d or until Stop; it reports false when stopped. The wait
 // runs on the process-wide timer wheel, so ten thousand paced streams cost
-// one runtime timer between them instead of one each; wheel granularity
-// (~1ms) is absorbed by the measured-wait pacing credit — callers clock
-// the actual sleep, so coarseness shifts the schedule instead of
-// accumulating as drift. Throttle-imposed waits come through here too,
-// which is how the spa bandwidth caps share the wheel.
+// one tick timer between them instead of one runtime timer each. The
+// wheel returns at the first tick boundary at or after now+d: never
+// early, at most one tick (~1ms) plus its wake-up latency late. Pacing
+// callers clock the actual sleep, so that residual shifts the schedule
+// instead of accumulating as drift. Throttle-imposed waits come through
+// here too, which is how the spa bandwidth caps share the wheel.
 func (s *StreamSender) wait(d time.Duration) bool {
 	if s.cfg.Sleep != nil {
 		s.cfg.Sleep(d)
@@ -349,7 +353,10 @@ func (s *StreamSender) Run(src FrameSource) (StreamStats, error) {
 	if s.cfg.FrameRate > 0 {
 		period = time.Second / time.Duration(s.cfg.FrameRate)
 	}
-	tr, _ := s.conn.(TryRecver)
+	var tr TryRecver
+	if s.cfg.Window > 0 {
+		tr, _ = s.conn.(TryRecver)
+	}
 	ew, _ := src.(EdgeWaiter)
 	vc, _ := s.conn.(VecConn)
 	bc, _ := s.conn.(BatchConn)

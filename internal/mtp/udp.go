@@ -3,6 +3,7 @@ package mtp
 import (
 	"fmt"
 	"net"
+	"net/netip"
 )
 
 // UDPConn adapts a connected UDP socket to PacketConn, the configuration
@@ -11,10 +12,19 @@ import (
 // and BatchConn: on Linux a vectored send is writev with two iovecs (one
 // datagram) and a batch is one sendmmsg(2) call; elsewhere both degrade to
 // the copying fallback.
+//
+// A UDPConn has a single sender: Send, SendVec and SendBatch share
+// per-connection scratch (the iovec and mmsghdr arrays the kernel reads),
+// so one goroutine sends at a time. The stream sender keeps to this by
+// construction — its frames, EOS markers and fallback sends all leave from
+// the goroutine running StreamSender.Run. Likewise one goroutine receives:
+// Recv and TryRecv share the receive buffer.
 type UDPConn struct {
 	c    *net.UDPConn
 	buf  []byte
 	sbuf []byte // scratch for the non-vectored SendVec fallback
+	vec  vecIO  // vectored/batched send state (single sender)
+	rx   recvIO // non-blocking receive state (single receiver)
 }
 
 var (
@@ -25,7 +35,10 @@ var (
 
 // NewUDPConn wraps an already connected UDP socket.
 func NewUDPConn(c *net.UDPConn) *UDPConn {
-	return &UDPConn{c: c, buf: make([]byte, HeaderSize+MaxPayload)}
+	u := &UDPConn{c: c, buf: make([]byte, HeaderSize+MaxPayload)}
+	u.vec.init(c)
+	u.rx.init(c, u.buf)
+	return u
 }
 
 // DialUDP opens a connected UDP socket to addr.
@@ -69,7 +82,7 @@ func (u *UDPConn) Send(p []byte) error {
 //
 //xmovie:noretain hdr payload
 func (u *UDPConn) SendVec(hdr, payload []byte) error {
-	if ok, err := sendVecUDP(u.c, hdr, payload); ok {
+	if ok, err := u.vec.sendVec(hdr, payload); ok {
 		return err
 	}
 	var err error
@@ -82,7 +95,7 @@ func (u *UDPConn) SendVec(hdr, payload []byte) error {
 //
 //xmovie:noretain pkts
 func (u *UDPConn) SendBatch(pkts []PacketVec) error {
-	if ok, err := sendBatchUDP(u.c, pkts); ok {
+	if ok, err := u.vec.sendBatch(pkts); ok {
 		return err
 	}
 	for _, p := range pkts {
@@ -104,12 +117,12 @@ func (u *UDPConn) Recv() ([]byte, error) {
 }
 
 // TryRecv implements TryRecver: a genuinely non-blocking datagram read
-// (MSG_DONTWAIT on unix; always empty elsewhere, which just disables
-// feedback-driven adaptation), so stream senders can poll for receiver
+// (a single read on the non-blocking socket on unix; a one-millisecond
+// read deadline elsewhere), so stream senders can poll for receiver
 // feedback between frames without a reader goroutine. The result aliases
 // the conn's receive buffer.
 func (u *UDPConn) TryRecv() ([]byte, bool) {
-	n, ok := tryRecvUDP(u.c, u.buf)
+	n, ok := u.rx.tryRecv()
 	if !ok || n == 0 {
 		return nil, false
 	}
@@ -125,7 +138,7 @@ type UDPListener struct {
 	c    *net.UDPConn
 	buf  []byte
 	sbuf []byte
-	peer *net.UDPAddr
+	peer netip.AddrPort // zero until the first datagram arrives
 }
 
 var (
@@ -139,7 +152,7 @@ func (u *UDPListener) Addr() string { return u.c.LocalAddr().String() }
 // Recv implements PacketConn, learning the peer from inbound traffic. The
 // result aliases the conn's receive buffer and is valid until the next Recv.
 func (u *UDPListener) Recv() ([]byte, error) {
-	n, peer, err := u.c.ReadFromUDP(u.buf)
+	n, peer, err := u.c.ReadFromUDPAddrPort(u.buf)
 	if err != nil {
 		return nil, err
 	}
@@ -151,10 +164,10 @@ func (u *UDPListener) Recv() ([]byte, error) {
 //
 //xmovie:noretain p
 func (u *UDPListener) Send(p []byte) error {
-	if u.peer == nil {
+	if !u.peer.IsValid() {
 		return fmt.Errorf("mtp: no peer learned yet")
 	}
-	_, err := u.c.WriteToUDP(p, u.peer)
+	_, err := u.c.WriteToUDPAddrPort(p, u.peer)
 	return err
 }
 
@@ -166,7 +179,7 @@ func (u *UDPListener) Send(p []byte) error {
 //
 //xmovie:noretain hdr payload
 func (u *UDPListener) SendVec(hdr, payload []byte) error {
-	if u.peer == nil {
+	if !u.peer.IsValid() {
 		return fmt.Errorf("mtp: no peer learned yet")
 	}
 	var err error

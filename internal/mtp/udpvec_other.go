@@ -4,14 +4,12 @@ package mtp
 
 import "net"
 
-// sendVecUDP reports the vectored UDP path unavailable off Linux; callers
-// fall back to the concatenate-and-Send copy.
-func sendVecUDP(c *net.UDPConn, hdr, payload []byte) (bool, error) {
-	return false, nil
-}
+// vecIO has no vectored UDP path off Linux: callers fall back to the
+// concatenate-and-Send copy and a per-packet loop.
+type vecIO struct{}
 
-// sendBatchUDP reports the sendmmsg path unavailable off Linux; callers
-// fall back to a per-packet loop.
-func sendBatchUDP(c *net.UDPConn, pkts []PacketVec) (bool, error) {
-	return false, nil
-}
+func (v *vecIO) init(c *net.UDPConn) {}
+
+func (v *vecIO) sendVec(hdr, payload []byte) (bool, error) { return false, nil }
+
+func (v *vecIO) sendBatch(pkts []PacketVec) (bool, error) { return false, nil }

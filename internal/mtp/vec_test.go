@@ -344,3 +344,113 @@ func TestBatchedSendAllocs(t *testing.T) {
 		t.Fatalf("batched send path allocates %.1f per 256-frame run, want <= %d", allocs, 8+259)
 	}
 }
+
+// TestRealUDPAllocs is the allocation guard for the real socket path: on
+// a loopback UDP pair, the sender's vectored and batched sends, its
+// non-blocking feedback poll (empty and with a datagram queued), and the
+// listener's receive and feedback reply must each allocate nothing. The
+// netsim and fake-conn guards cannot see these: the cost lives in the
+// net/syscall glue (SyscallConn, escaping callbacks, sockaddrs).
+func TestRealUDPAllocs(t *testing.T) {
+	const runs = 50
+	lis, err := ListenUDP("127.0.0.1:0")
+	if err != nil {
+		t.Skip("no loopback UDP:", err)
+	}
+	defer lis.Close()
+	conn, err := DialUDP(lis.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hdr := bytes.Repeat([]byte{0x11}, HeaderSize)
+	payload := bytes.Repeat([]byte{0x22}, 1024)
+	pkts := make([]PacketVec, 4)
+	for i := range pkts {
+		pkts[i] = PacketVec{Hdr: hdr, Payload: payload}
+	}
+	// drain empties the listener's socket buffer (some datagrams of a
+	// burst may have been dropped on a full buffer), so subtests start
+	// clean.
+	drain := func(t *testing.T) {
+		t.Helper()
+		if err := lis.c.SetReadDeadline(time.Now().Add(50 * time.Millisecond)); err != nil {
+			t.Fatal(err)
+		}
+		for {
+			if _, err := lis.Recv(); err != nil {
+				break
+			}
+		}
+		if err := lis.c.SetReadDeadline(time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pin := func(t *testing.T, what string, f func()) {
+		t.Helper()
+		if a := testing.AllocsPerRun(runs, f); a != 0 {
+			t.Fatalf("%s allocates %.1f per call, want 0", what, a)
+		}
+	}
+
+	t.Run("SendVec", func(t *testing.T) {
+		pin(t, "UDPConn.SendVec", func() {
+			if err := conn.SendVec(hdr, payload); err != nil {
+				t.Fatal(err)
+			}
+		})
+		drain(t)
+	})
+	t.Run("SendBatch", func(t *testing.T) {
+		pin(t, "UDPConn.SendBatch", func() {
+			if err := conn.SendBatch(pkts); err != nil {
+				t.Fatal(err)
+			}
+		})
+		drain(t)
+	})
+	t.Run("ListenerRecv", func(t *testing.T) {
+		for i := 0; i < runs+1; i++ {
+			if err := conn.SendVec(hdr, payload); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pin(t, "UDPListener.Recv", func() {
+			if p, err := lis.Recv(); err != nil || len(p) != HeaderSize+len(payload) {
+				t.Fatalf("recv %d bytes, err %v", len(p), err)
+			}
+		})
+	})
+	t.Run("TryRecv", func(t *testing.T) {
+		// The listener learned the conn as its peer above; the replies
+		// are what the conn's feedback poll finds.
+		pin(t, "UDPConn.TryRecv on an empty socket", func() {
+			if _, ok := conn.TryRecv(); ok {
+				t.Fatal("TryRecv found a datagram on an empty socket")
+			}
+		})
+		pin(t, "UDPListener.Send", func() {
+			if err := lis.Send(hdr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// Loopback delivery is synchronous, but give the kernel a moment
+		// before polling without blocking.
+		deadline := time.Now().Add(2 * time.Second)
+		got := 0
+		pin(t, "UDPConn.TryRecv with data queued", func() {
+			for {
+				if p, ok := conn.TryRecv(); ok {
+					if len(p) != HeaderSize {
+						t.Fatalf("TryRecv returned %d bytes", len(p))
+					}
+					got++
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("reply %d never arrived", got)
+				}
+			}
+		})
+	})
+}

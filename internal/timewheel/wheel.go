@@ -10,11 +10,16 @@
 // state allocates nothing and the runtime sees one timer regardless of how
 // many streams pace against it.
 //
-// Precision is one tick (default 1ms — deliberately coarser than a runtime
-// timer). That composes with the sender's measured-wait pacing semantics
-// from the stream layer: pacing, throttle and live-edge waits all credit
-// the time actually slept, so wheel granularity shifts a schedule by at
-// most a tick instead of accumulating as drift or phantom lateness.
+// Precision: a wait fires at the first tick boundary at or after the
+// moment it was armed plus d — never early, and at most one tick late
+// plus the tick goroutine's wake-up latency. Deadlines are computed from
+// the clock, not from the cursor. On Linux the tick goroutine sleeps on a
+// timerfd read through the runtime poller, which wakes within ~0.1ms of
+// the boundary; a plain runtime timer would round every sub-millisecond
+// sleep up to about a millisecond (Go issue 44343), so most slots would
+// fire most of a tick late. Elsewhere the runtime timer is the fallback. The stream layer's measured-wait pacing credits the time
+// actually slept, so the residual sub-tick lateness shifts a schedule
+// instead of accumulating as drift or phantom lateness.
 //
 //xmovie:pacing-package
 package timewheel
@@ -27,8 +32,17 @@ import (
 
 // Default wheel geometry.
 const (
-	// DefaultTick is the wheel's firing granularity.
-	DefaultTick = time.Millisecond
+	// DefaultTick is the wheel's firing granularity: just under a
+	// millisecond, and deliberately incommensurate with the common kernel
+	// scheduler-tick periods (1, 3.33, 4 and 10ms). Linux checks CPU-time
+	// timers only on its scheduler tick, and Go's CPU profiler samples
+	// through them. A wheel firing on a grid commensurate with that tick
+	// holds the process's wake-up bursts at one fixed phase against it,
+	// and a CPU profile then records anywhere from a few percent to 90%
+	// of the CPU the process used, depending on that phase.
+	// At 962.1µs successive scheduler ticks fall at well-spread phases of
+	// the wheel's cycle (see EXPERIMENTS.md).
+	DefaultTick = 962100 * time.Nanosecond
 	// DefaultSlots is the ring size; waits longer than Tick×Slots survive
 	// via per-waiter absolute deadlines (a hashed wheel, not a hierarchical
 	// one — long waits are rare on the pacing path).
@@ -77,12 +91,14 @@ type Wheel struct {
 	mask  int64
 	slots []*waiter
 
+	// newSleeper builds the tick goroutine's sleeper each time it starts.
+	newSleeper func() sleeper
+
 	mu      sync.Mutex
 	cur     int64 // absolute tick index of the next slot to fire
 	epoch   time.Time
 	active  int  // armed waiters
 	running bool // ticker goroutine live
-	wakeCh  chan struct{}
 
 	ticks, armed, fired, canceled atomic.Int64
 }
@@ -101,11 +117,11 @@ func New(tick time.Duration, slots int) *Wheel {
 		n <<= 1
 	}
 	return &Wheel{
-		tick:   tick,
-		mask:   int64(n - 1),
-		slots:  make([]*waiter, n),
-		epoch:  time.Now(),
-		wakeCh: make(chan struct{}, 1),
+		tick:       tick,
+		mask:       int64(n - 1),
+		slots:      make([]*waiter, n),
+		epoch:      time.Now(),
+		newSleeper: newPreciseSleeper,
 	}
 }
 
@@ -121,57 +137,64 @@ func Default() *Wheel {
 	return defaultWheel
 }
 
-// now returns the current absolute tick index.
-func (w *Wheel) now() int64 {
-	return int64(time.Since(w.epoch) / w.tick)
-}
+// maxWait caps a wait so the deadline arithmetic cannot overflow (~146
+// years, indistinguishable from forever for a pacing wait).
+const maxWait = time.Duration(1 << 62)
 
-// arm inserts a waiter firing after d and returns it. Rounded up to a whole
-// tick so a wait never fires early.
+// arm inserts a waiter firing at the first tick boundary at or after
+// now+d and returns it.
 //
 //xmovie:hotpath
 func (w *Wheel) arm(d time.Duration) *waiter {
 	//xmovie:pool-escape ownership transfers to the slot ring; fireSlot/cancel/Wait pool the waiter after its CAS settles
 	t := waiterPool.Get().(*waiter)
 	t.state.Store(waiterArmed)
-	ticks := int64((d + w.tick - 1) / w.tick)
-	if ticks < 1 {
-		ticks = 1
+	if d > maxWait {
+		d = maxWait
 	}
 	w.mu.Lock()
-	// Deadlines are relative to the cursor, not the clock: the cursor may
-	// trail wall time while the ticker catches up, and an insert below it
-	// would otherwise wait a whole revolution.
-	base := w.cur
-	if n := w.now(); n > base {
-		base = n
+	elapsed := time.Since(w.epoch)
+	if !w.running {
+		// Restart before computing the deadline, so the cursor reset
+		// cannot land past it.
+		w.running = true
+		w.cur = int64(elapsed / w.tick)
+		//xmovie:allow-alloc first arm after an idle period restarts the tick goroutine; steady state never takes this branch
+		go w.run()
 	}
-	t.deadline = base + ticks
+	t.deadline = deadlineTick(elapsed, d, w.tick, w.cur)
 	slot := t.deadline & w.mask
 	t.next = w.slots[slot]
 	w.slots[slot] = t
 	w.active++
-	if !w.running {
-		w.running = true
-		w.cur = w.now()
-		//xmovie:allow-alloc first arm after an idle period restarts the tick goroutine; steady state never takes this branch
-		go w.run()
-	}
 	w.mu.Unlock()
 	w.armed.Add(1)
-	select {
-	case w.wakeCh <- struct{}{}:
-	default:
-	}
 	return t
 }
 
-// run advances the wheel while waiters are armed, then parks. One runtime
-// timer total, re-armed per tick.
+// deadlineTick returns the tick index a wait of d armed at elapsed (since
+// the epoch) fires at: the first tick boundary at or after elapsed+d.
+// The deadline counts from the clock, not from the cursor: the cursor
+// runs one slot ahead of the clock between ticks, so cursor-relative
+// deadlines would add a tick to every wait. A deadline below the cursor
+// would wait a whole revolution, so it is clamped to the cursor; the tick
+// goroutine always sleeps until the cursor's boundary, so no arm ever
+// needs to wake it.
+func deadlineTick(elapsed, d, tick time.Duration, cur int64) int64 {
+	deadline := int64((elapsed + d + tick - 1) / tick)
+	if deadline < cur {
+		deadline = cur
+	}
+	return deadline
+}
+
+// run advances the wheel while waiters are armed, then parks. Each pass
+// fires every slot whose boundary has passed and sleeps until the next
+// one. A sleeper that wakes early only costs another pass: the slot fires
+// on the wake-up that reaches its boundary, never a tick later.
 func (w *Wheel) run() {
-	//xmovie:allow-timer the wheel's own tick driver: the ONE runtime timer every paced stream shares
-	timer := time.NewTimer(w.tick)
-	defer timer.Stop()
+	s := w.newSleeper()
+	defer s.close()
 	for {
 		w.mu.Lock()
 		if w.active == 0 {
@@ -179,7 +202,7 @@ func (w *Wheel) run() {
 			w.mu.Unlock()
 			return
 		}
-		target := w.now()
+		target := int64(time.Since(w.epoch) / w.tick)
 		for w.cur <= target {
 			w.fireSlot(w.cur)
 			w.cur++
@@ -187,19 +210,7 @@ func (w *Wheel) run() {
 		}
 		next := w.epoch.Add(time.Duration(w.cur) * w.tick)
 		w.mu.Unlock()
-		timer.Reset(time.Until(next))
-		select {
-		case <-timer.C:
-		case <-w.wakeCh:
-			// A fresh arm may need the goroutine alive even if the slot scan
-			// below fires nothing; just rescan.
-			if !timer.Stop() {
-				select {
-				case <-timer.C:
-				default:
-				}
-			}
-		}
+		s.sleep(time.Until(next))
 	}
 }
 

@@ -1,23 +1,145 @@
 package timewheel
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
 )
 
 func TestWaitElapses(t *testing.T) {
-	w := New(time.Millisecond, 64)
-	start := time.Now()
-	if !w.Wait(5*time.Millisecond, nil) {
-		t.Fatal("uncanceled Wait returned false")
+	for _, tc := range []struct {
+		name    string
+		sleeper func() sleeper
+	}{
+		{"precise", newPreciseSleeper},
+		{"runtime-timer", newTimerSleeper},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := New(time.Millisecond, 64)
+			w.newSleeper = tc.sleeper
+			start := time.Now()
+			if !w.Wait(5*time.Millisecond, nil) {
+				t.Fatal("uncanceled Wait returned false")
+			}
+			if e := time.Since(start); e < 5*time.Millisecond {
+				t.Fatalf("Wait(5ms) returned early, after %v", e)
+			}
+			st := w.Stats()
+			if st.Armed != 1 || st.Fired != 1 {
+				t.Fatalf("stats = %+v, want 1 armed / 1 fired", st)
+			}
+		})
 	}
-	if e := time.Since(start); e < 4*time.Millisecond {
-		t.Fatalf("Wait(5ms) returned after %v", e)
+}
+
+// TestDeadlineTick pins the deadline arithmetic without a clock: a wait
+// fires at the first tick boundary at or after arm time + d. Between
+// ticks the cursor is one slot ahead of the clock, so counting from the
+// cursor (cursor + ceil(d/tick)) would fire a tick late.
+func TestDeadlineTick(t *testing.T) {
+	const ms = time.Millisecond
+	us := func(n int) time.Duration { return time.Duration(n) * time.Microsecond }
+	for _, tc := range []struct {
+		name    string
+		elapsed time.Duration
+		d       time.Duration
+		tick    time.Duration // 0: 1ms
+		cur     int64
+		want    int64
+	}{
+		// Armed 50µs after tick 10 fired: the cursor already points at 11.
+		{"sub-tick wait just after a tick", us(10050), us(500), 0, 11, 11},
+		{"multi-tick fractional wait", us(10050), us(2300), 0, 11, 13},
+		{"whole-tick wait", us(10050), ms, 0, 11, 12},
+		{"late in the tick", us(10900), us(500), 0, 11, 12},
+		{"exactly on a boundary", 10 * ms, ms, 0, 11, 11},
+		{"one nanosecond wait", us(10050), 1, 0, 11, 11},
+		// The ticker lags the clock: the deadline still counts from the clock.
+		{"cursor behind the clock", us(10050), us(500), 0, 8, 11},
+		// A deadline the cursor has passed is clamped, not left for a revolution.
+		{"clamped to the cursor", us(10050), us(500), 0, 14, 14},
+		{"coarser tick", us(10050), us(500), 4 * ms, 3, 3},
+	} {
+		tick := tc.tick
+		if tick == 0 {
+			tick = ms
+		}
+		if got := deadlineTick(tc.elapsed, tc.d, tick, tc.cur); got != tc.want {
+			t.Errorf("%s: deadlineTick(%v, %v, %v, cur %d) = %d, want %d",
+				tc.name, tc.elapsed, tc.d, tick, tc.cur, got, tc.want)
+		}
+		// Whatever the cursor, a deadline is never before elapsed+d.
+		if got := deadlineTick(tc.elapsed, tc.d, tick, tc.cur); time.Duration(got)*tick < tc.elapsed+tc.d {
+			t.Errorf("%s: deadline tick %d is before elapsed+d", tc.name, got)
+		}
 	}
-	st := w.Stats()
-	if st.Armed != 1 || st.Fired != 1 {
-		t.Fatalf("stats = %+v, want 1 armed / 1 fired", st)
+}
+
+// TestPreciseSleeperOvershoot pins the tick driver: a sub-millisecond
+// sleep must end close to its duration. The runtime timer rounds such a
+// sleep up to about a millisecond; the precise driver overshoots by tens
+// of microseconds. Skipped where only the runtime timer exists.
+func TestPreciseSleeperOvershoot(t *testing.T) {
+	s := newPreciseSleeper()
+	defer s.close()
+	if _, coarse := s.(*timerSleeper); coarse {
+		t.Skip("no precise tick driver on this platform")
+	}
+	const d = 300 * time.Microsecond
+	const n = 51
+	over := make([]time.Duration, 0, n)
+	for i := 0; i < n; i++ {
+		start := time.Now()
+		s.sleep(d)
+		e := time.Since(start)
+		if e < d {
+			t.Fatalf("sleep(%v) returned early, after %v", d, e)
+		}
+		over = append(over, e-d)
+	}
+	slices.Sort(over)
+	if med := over[n/2]; med >= 250*time.Microsecond {
+		t.Fatalf("median overshoot of sleep(%v) = %v, want < 250µs", d, med)
+	}
+}
+
+// TestWaitPrecision bounds lateness from above: a Wait(1ms) armed at an
+// arbitrary phase of the tick must return within the boundary that
+// follows arm time + 1ms, plus the tick goroutine's wake-up latency. A
+// Wait(d) can never return before d, so the bound is on the time beyond d:
+// its median must stay under 1.5 ticks. A wheel that counted deadlines
+// from the cursor, or whose tick driver overslept by the runtime timer's
+// ~1ms rounding, misses it. Skipped where only the runtime-timer tick
+// driver exists.
+func TestWaitPrecision(t *testing.T) {
+	s := newPreciseSleeper()
+	_, coarse := s.(*timerSleeper)
+	s.close()
+	if coarse {
+		t.Skip("no precise tick driver on this platform")
+	}
+	const tick = time.Millisecond
+	const n = 101
+	w := New(tick, 64)
+	late := make([]time.Duration, 0, n)
+	for i := 0; i < n; i++ {
+		// Spin to a spread of phases within the tick (a spin, not a sleep:
+		// a runtime sleep would itself round to the millisecond).
+		phase := time.Duration(i*37%100) * tick / 100
+		for spin := time.Now(); time.Since(spin) < phase; {
+		}
+		start := time.Now()
+		w.Wait(tick, nil)
+		e := time.Since(start)
+		if e < tick {
+			t.Fatalf("Wait(%v) returned early, after %v", tick, e)
+		}
+		late = append(late, e-tick)
+	}
+	slices.Sort(late)
+	if med := late[n/2]; med >= 3*tick/2 {
+		t.Fatalf("median lateness past d = %v, want < 1.5 ticks (p10 %v, p90 %v)", med, late[n/10], late[9*n/10])
 	}
 }
 
